@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import repro.influence.MrrSampler.Fragment
 import scala.collection.mutable
 
 /** Driver-side inverted index of MRR membership, restricted to the promoter
@@ -24,6 +25,10 @@ final class CoverageIndex(
     val promoters: Array[Long],
     cov: Array[Array[Int]]) {
 
+  require(theta.toLong * ell <= Int.MaxValue,
+    s"theta × ell = $theta × $ell overflows the Int (sample, piece) cell index")
+  require(promoters.length.toLong * ell <= Int.MaxValue,
+    s"${promoters.length} promoters × $ell pieces overflow the Int candidate id")
   require(cov.length == promoters.length * ell,
     s"coverage arity mismatch: ${cov.length} lists for ${promoters.length} promoters × $ell pieces")
 
@@ -132,5 +137,36 @@ object CoverageIndex {
     }
     val cov = lists.map(b => b.result().distinct.sorted)
     new CoverageIndex(theta, ell, nVertices, sortedPromoters, cov)
+  }
+
+  /** Merge the sampler's promoter fragments (`MrrSampler.sampleFragments`)
+    * by a counting sort on the candidate id. `promoters` must be the sorted
+    * pool the fragments were sampled against. Fragments in ascending sample
+    * order with no repeated pair give sorted, distinct lists directly.
+    */
+  def merge(
+      fragments: Array[Fragment],
+      theta: Int,
+      ell: Int,
+      nVertices: Long,
+      promoters: Array[Long]): CoverageIndex = {
+    val nCand = Math.multiplyExact(promoters.length, ell)
+    val counts = new Array[Int](nCand)
+    for (f <- fragments; c <- f.candidates) counts(c) += 1
+    val cov = counts.map(new Array[Int](_))
+    val fill = new Array[Int](nCand)
+    for (f <- fragments) {
+      var i = 0
+      while (i < f.candidates.length) {
+        val c = f.candidates(i)
+        val s = f.samples(i)
+        require(s >= 0 && s < theta, s"sample $s out of [0, $theta)")
+        require(fill(c) == 0 || cov(c)(fill(c) - 1) < s, s"candidate $c: samples out of order at $s")
+        cov(c)(fill(c)) = s
+        fill(c) += 1
+        i += 1
+      }
+    }
+    new CoverageIndex(theta, ell, nVertices, promoters, cov)
   }
 }

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.graphgen.{GraphSpec, SocialGraphGen}
-import repro.influence.{MrrSampler, Piece}
+import repro.influence.{MrrSampler, Piece, ReverseCsr}
 import repro.util.HashRng
 
 /** Shared harness behind every evaluation table/figure (§VI).
@@ -24,6 +24,8 @@ object ExperimentRunner {
     * @param idx        campaign MRR coverage index (ℓ pieces)
     * @param mixtureIdx single-piece RR index on the uniform topic mixture
     *                   (IM baseline's topic-agnostic view)
+    * @param sampleTimeMs Table III's sample time: the CSR build, the campaign
+    *                   sampling and its index build (not the mixture)
     */
   final case class Prepared(
       spec: GraphSpec,
@@ -67,18 +69,43 @@ object ExperimentRunner {
     val pieces = pieceVectors(ell, spec.numTopics, seed)
     val promoters = SocialGraphGen.promoters(spec, promoterFraction)
 
-    val t0 = System.nanoTime()
-    val mrr = MrrSampler.sampleBroadcast(
-      spark, edges, spec.nVertices, pieces, MrrSampler.MrrConfig(theta, seed = seed))
-    val idx = CoverageIndex.build(mrr, theta, ell, spec.nVertices, promoters)
-    val sampleTimeMs = (System.nanoTime() - t0) / 1000000L
-
-    val mixture = Seq(Piece.uniformMixture(spec.numTopics))
-    val mixMrr = MrrSampler.sampleBroadcast(
-      spark, edges, spec.nVertices, mixture, MrrSampler.MrrConfig(theta, seed = seed + 1))
-    val mixtureIdx = CoverageIndex.build(mixMrr, theta, 1, spec.nVertices, promoters)
-
+    val (idx, mixtureIdx, sampleTimeMs) =
+      sampleIndices(spark, edges, spec.nVertices, pieces, theta, promoters, seed)
     Prepared(spec, edges, pieces, promoters, idx, mixtureIdx, realizedEdges, sampleTimeMs)
+  }
+
+  /** Both MRR coverage indices of one campaign, sampled on one broadcast
+    * [[ReverseCsr]] with a row per campaign piece plus the uniform mixture:
+    * the campaign at `seed`, the mixture at `seed + 1` as piece 0 of a
+    * one-piece campaign (the same samples `sampleBroadcast` draws for
+    * `Seq(mixture)`). The broadcast is destroyed before returning.
+    *
+    * @return the campaign index, the mixture index, and the milliseconds
+    *         spent on the CSR build, the campaign sampling and its index
+    */
+  def sampleIndices(
+      spark: SparkSession,
+      edges: DataFrame,
+      nVertices: Long,
+      pieces: Seq[Piece],
+      theta: Int,
+      promoters: Array[Long],
+      seed: Long): (CoverageIndex, CoverageIndex, Long) = {
+    val ell = pieces.length
+    val pool = promoters.distinct.sorted
+    val mixture = Piece.uniformMixture(pieces.head.numTopics)
+    val t0 = System.nanoTime()
+    val csr = spark.sparkContext.broadcast(ReverseCsr.collect(edges, nVertices, pieces :+ mixture))
+    try {
+      val idx = CoverageIndex.merge(
+        MrrSampler.sampleFragments(spark, csr, 0 until ell, MrrSampler.MrrConfig(theta, seed = seed), pool),
+        theta, ell, nVertices, pool)
+      val sampleTimeMs = (System.nanoTime() - t0) / 1000000L
+      val mixtureIdx = CoverageIndex.merge(
+        MrrSampler.sampleFragments(spark, csr, Seq(ell), MrrSampler.MrrConfig(theta, seed = seed + 1), pool),
+        theta, 1, nVertices, pool)
+      (idx, mixtureIdx, sampleTimeMs)
+    } finally csr.destroy()
   }
 
   /** Restrict a prepared dataset to its first `ell` pieces (pieces are

@@ -1,9 +1,9 @@
 package repro.influence
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.util.HashRng
-import scala.collection.mutable
 
 /** Multi-Reverse-Reachable (MRR) set sampling (§V-A).
   *
@@ -24,9 +24,14 @@ import scala.collection.mutable
   * anti-join against the visited set dedupes, and `localCheckpoint` truncates
   * lineage. This is the distributed-dataflow path.
   *
-  * `sampleBroadcast` — reverse adjacency is collected and broadcast; samples
-  * are partitioned across executors and each runs a local reverse BFS. Much
-  * faster when the graph fits an executor, which all bench profiles do.
+  * `sampleBroadcast` — the graph is collected once into a [[ReverseCsr]]
+  * with one probability row per piece and broadcast; samples are partitioned
+  * across executors and each partition runs a local reverse BFS (`RrKernel`).
+  * Much faster when the graph fits an executor, which all bench profiles do.
+  *
+  * `sampleFragments` runs the same kernel on an already broadcast CSR but
+  * keeps only promoter memberships, as `(candidate, sample)` fragments that
+  * `CoverageIndex.merge` turns into an index without a row DataFrame.
   */
 object MrrSampler {
 
@@ -47,7 +52,9 @@ object MrrSampler {
     HashRng.uniform(seed, TagCoin, sample.toLong, piece.toLong, src, dst) < p
 
   /** Distributed-dataflow sampler: iterative frontier expansion as DataFrame
-    * joins over the edge table.
+    * joins over the edge table. Throws `IllegalStateException` when the
+    * frontier is still non-empty after `cfg.maxIters` rounds rather than
+    * return truncated RR sets.
     */
   def sampleIterative(
       spark: SparkSession,
@@ -76,7 +83,13 @@ object MrrSampler {
 
     var iter = 0
     var done = false
-    while (!done && iter < cfg.maxIters) {
+    while (!done) {
+      if (iter == cfg.maxIters) {
+        val open = frontier.select("sample").distinct().count()
+        pe.unpersist()
+        throw new IllegalStateException(
+          s"sampleIterative: $open samples still on the frontier after maxIters=${cfg.maxIters} rounds")
+      }
       val cand = frontier
         .join(pe, frontier("piece") === pe("epiece") && frontier("v") === pe("edst"))
         .where(coinUdf(col("sample"), col("piece"), col("esrc"), col("edst")) < col("p"))
@@ -97,7 +110,8 @@ object MrrSampler {
   }
 
   /** Broadcast sampler: same semantics, samples partitioned across the
-    * cluster, graph shipped once as reverse-CSR adjacency per piece.
+    * cluster, graph shipped once as a [[ReverseCsr]] with one row per piece.
+    * Rows are emitted lazily; only the CSR build runs eagerly.
     */
   def sampleBroadcast(
       spark: SparkSession,
@@ -107,44 +121,127 @@ object MrrSampler {
       cfg: MrrConfig): DataFrame = {
     import spark.implicits._
     val seed = cfg.seed
-
-    val rev: Array[Map[Long, Array[(Long, Double)]]] = pieces.toArray.map { t =>
-      TopicGraph.influenceGraph(edges, t)
-        .select("src", "dst", "p").collect()
-        .map(r => (r.getLong(1), (r.getLong(0), r.getDouble(2))))
-        .groupBy(_._1).map { case (dst, rows) => dst -> rows.map(_._2) }
-    }
-    val bc = spark.sparkContext.broadcast(rev)
+    val bc = spark.sparkContext.broadcast(ReverseCsr.collect(edges, n, pieces))
     val ell = pieces.length
 
     spark.range(cfg.theta)
       .mapPartitions { it =>
-        val adj = bc.value
+        val kernel = new RrKernel(bc.value)
         it.flatMap { id =>
           val sample = id.toInt
-          val root = rootOf(sample, n, seed)
+          val root = rootOf(sample, n, seed).toInt
           (0 until ell).iterator.flatMap { piece =>
-            val seen = mutable.LongMap.empty[Boolean]
-            val stack = mutable.ArrayDeque(root)
-            seen(root) = true
-            while (stack.nonEmpty) {
-              val v = stack.removeLast()
-              adj(piece).get(v).foreach { ins =>
-                var i = 0
-                while (i < ins.length) {
-                  val (src, p) = ins(i)
-                  if (!seen.contains(src) && edgeAlive(sample, piece, src, v, p, seed)) {
-                    seen(src) = true
-                    stack.append(src)
-                  }
-                  i += 1
-                }
-              }
-            }
-            seen.keysIterator.map(v => (sample, piece, v))
+            val size = kernel.traverse(sample, root, piece, piece, seed)
+            Iterator.range(0, size).map(i => (sample, piece, kernel.member(i).toLong))
           }
         }
       }
       .toDF("sample", "piece", "v")
   }
+
+  /** One partition's promoter memberships: entry `i` says that candidate
+    * `candidates(i)` (`promoterIdx * ell + piece`) covers sample `samples(i)`.
+    * Entries are in ascending sample order and no pair repeats.
+    */
+  final case class Fragment(candidates: Array[Int], samples: Array[Int])
+
+  /** Sample `cfg.theta` MRR sets on the broadcast CSR and keep only the
+    * memberships of `promoters` (sorted, distinct).
+    *
+    * Piece `j` of the sampled campaign is CSR row `rows(j)` and uses `j` as
+    * its coin's piece index, so the samples equal `sampleBroadcast` on the
+    * pieces of `rows` at the same seed. Fragments come back in partition
+    * order, hence in ascending sample order overall.
+    */
+  def sampleFragments(
+      spark: SparkSession,
+      csr: Broadcast[ReverseCsr],
+      rows: Seq[Int],
+      cfg: MrrConfig,
+      promoters: Array[Long]): Array[Fragment] = {
+    import spark.implicits._
+    val seed = cfg.seed
+    val ell = rows.length
+    val rowOf = rows.toArray
+    require(ell > 0, "need at least one piece")
+    require(rowOf.forall(r => r >= 0 && r < csr.value.numRows),
+      s"rows ${rowOf.mkString(",")} out of [0, ${csr.value.numRows})")
+    require(promoters.length.toLong * ell <= Int.MaxValue,
+      s"${promoters.length} promoters × $ell pieces overflow the Int candidate id")
+
+    spark.range(cfg.theta)
+      .mapPartitions { it =>
+        val g = csr.value
+        val kernel = new RrKernel(g)
+        val promoterIdx = Array.fill(g.nVertices)(-1)
+        var p = 0
+        while (p < promoters.length) { promoterIdx(promoters(p).toInt) = p; p += 1 }
+        val candidates = Array.newBuilder[Int]
+        val samples = Array.newBuilder[Int]
+        it.foreach { id =>
+          val sample = id.toInt
+          val root = rootOf(sample, g.nVertices, seed).toInt
+          var piece = 0
+          while (piece < ell) {
+            val size = kernel.traverse(sample, root, rowOf(piece), piece, seed)
+            var i = 0
+            while (i < size) {
+              val pi = promoterIdx(kernel.member(i))
+              if (pi >= 0) { candidates += pi * ell + piece; samples += sample }
+              i += 1
+            }
+            piece += 1
+          }
+        }
+        Iterator.single(Fragment(candidates.result(), samples.result()))
+      }
+      .collect()
+  }
+}
+
+/** Reverse BFS over a [[ReverseCsr]], one partition's worth of scratch
+  * space: an epoch-stamped visited array (a vertex is visited when its stamp
+  * equals the current traversal's epoch, so nothing is cleared between
+  * traversals) and a work array whose prefix is the RR set found so far.
+  */
+private final class RrKernel(csr: ReverseCsr) {
+  private val stamp = new Array[Int](csr.nVertices)
+  private var epoch = 0
+  private var work = new Array[Int](64)
+
+  /** Grow the RR set of `root` on CSR row `row` in the live-edge world of
+    * `(sample, coinPiece)`. Returns its size; `member(0 until size)` lists it,
+    * root first.
+    */
+  def traverse(sample: Int, root: Int, row: Int, coinPiece: Int, seed: Long): Int = {
+    if (epoch == Int.MaxValue) { java.util.Arrays.fill(stamp, 0); epoch = 0 }
+    epoch += 1
+    val offsets = csr.offsets
+    val sources = csr.sources
+    val p = csr.probs(row)
+    stamp(root) = epoch
+    work(0) = root
+    var size = 1
+    var head = 0
+    while (head < size) {
+      val v = work(head)
+      head += 1
+      var e = offsets(v)
+      val end = offsets(v + 1)
+      while (e < end) {
+        val u = sources(e)
+        if (stamp(u) != epoch && p(e) > 0 &&
+            MrrSampler.edgeAlive(sample, coinPiece, u.toLong, v.toLong, p(e), seed)) {
+          stamp(u) = epoch
+          if (size == work.length) work = java.util.Arrays.copyOf(work, size * 2)
+          work(size) = u
+          size += 1
+        }
+        e += 1
+      }
+    }
+    size
+  }
+
+  def member(i: Int): Int = work(i)
 }

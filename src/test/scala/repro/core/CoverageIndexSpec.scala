@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.influence.MrrSampler.Fragment
 import repro.testkit.SyntheticIndex
 
 class CoverageIndexSpec extends AnyFunSuite {
@@ -106,5 +107,32 @@ class CoverageIndexSpec extends AnyFunSuite {
   test("takePieces validates the prefix length") {
     intercept[IllegalArgumentException](idx.takePieces(0))
     intercept[IllegalArgumentException](idx.takePieces(3))
+  }
+
+  test("index arithmetic that would overflow Int is rejected") {
+    // (sample, piece) cell index sample * ell + piece in coverageCounts
+    val cells = intercept[IllegalArgumentException](
+      new CoverageIndex(Int.MaxValue, 2, 8L, Array(10L), Array(Array.empty[Int], Array.empty[Int])))
+    assert(cells.getMessage.contains("cell index"))
+    // candidate id promoterIdx * ell + piece; the guard fires before any list is needed
+    val cands = intercept[IllegalArgumentException](
+      new CoverageIndex(1, 1 << 20, 8L, Array.tabulate(1 << 12)(_.toLong), Array.empty))
+    assert(cands.getMessage.contains("candidate id"))
+  }
+
+  test("merge counting-sorts fragments into the same lists as the hand index") {
+    // Two partitions: samples {0, 1} and {2, 3}; candidate = promoterIdx * 2 + piece.
+    val merged = CoverageIndex.merge(Array(
+      Fragment(Array(0, 1, 0, 3), Array(0, 0, 1, 1)),
+      Fragment(Array(0, 2, 2, 3), Array(2, 2, 3, 3))), theta = 4, ell = 2, nVertices = 8, Array(10L, 20L))
+    assert((0 until 4).map(c => merged.coverage(c).toSeq) == (0 until 4).map(c => idx.coverage(c).toSeq))
+    assert(merged.promoters.toSeq == idx.promoters.toSeq)
+  }
+
+  test("merge rejects out-of-order or out-of-range samples") {
+    intercept[IllegalArgumentException](
+      CoverageIndex.merge(Array(Fragment(Array(0, 0), Array(2, 1))), 4, 1, 8L, Array(10L)))
+    intercept[IllegalArgumentException](
+      CoverageIndex.merge(Array(Fragment(Array(0), Array(4))), 4, 1, 8L, Array(10L)))
   }
 }

@@ -1,8 +1,11 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.core.LogisticParams
+import repro.core.{CoverageIndex, LogisticParams}
 import repro.graphgen.Datasets
+import repro.influence.{MrrSampler, Piece, TopicGraph}
+import repro.influence.MrrSampler.MrrConfig
+import repro.testkit.{ExampleGraphs, IndexContent}
 
 class ExperimentRunnerSpec extends SparkSpec {
 
@@ -37,6 +40,51 @@ class ExperimentRunnerSpec extends SparkSpec {
     assert(prep.idx.promoters.toSeq == prep.mixtureIdx.promoters.toSeq)
     assert(prep.realizedEdges > 0)
     assert(prep.sampleTimeMs >= 0)
+  }
+
+  /** The reference the production indices must equal: `sampleBroadcast`
+    * rows built into an index, the mixture sampled as its own one-piece
+    * campaign at `seed + 1`.
+    */
+  private def reference(edges: org.apache.spark.sql.DataFrame, n: Long, pieces: Seq[Piece], theta: Int,
+      promoters: Array[Long], seed: Long): (CoverageIndex, CoverageIndex) = {
+    val mixture = Seq(Piece.uniformMixture(pieces.head.numTopics))
+    (CoverageIndex.build(MrrSampler.sampleBroadcast(spark, edges, n, pieces, MrrConfig(theta, seed = seed)),
+      theta, pieces.length, n, promoters),
+      CoverageIndex.build(MrrSampler.sampleBroadcast(spark, edges, n, mixture, MrrConfig(theta, seed = seed + 1)),
+        theta, 1, n, promoters))
+  }
+
+  test("prepare's indices equal the broadcast sampler's on mini, prefix by prefix") {
+    val (idx, mix) = reference(prep.edges, Datasets.mini.nVertices, prep.pieces, 1500, prep.promoters, 17L)
+    assert(IndexContent(prep.idx) == IndexContent(idx))
+    assert(IndexContent(prep.mixtureIdx) == IndexContent(mix))
+    (1 to 3).foreach { l =>
+      val (sub, _) = reference(prep.edges, Datasets.mini.nVertices, prep.pieces.take(l), 1500, prep.promoters, 17L)
+      assert(IndexContent(prep.idx.takePieces(l)) == IndexContent(sub), s"ell=$l")
+    }
+  }
+
+  test("sampleIndices equals the broadcast sampler's indices on Example 1") {
+    val edges = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+    val promoters = Array(4L, 0L, 2L, 0L) // unsorted, repeated: the pool is normalised
+    val (idx, mix, ms) = ExperimentRunner.sampleIndices(spark, edges, 5, ExampleGraphs.pieces, 400, promoters, 31L)
+    val (refIdx, refMix) = reference(edges, 5, ExampleGraphs.pieces, 400, promoters, 31L)
+    assert(IndexContent(idx) == IndexContent(refIdx))
+    assert(IndexContent(mix) == IndexContent(refMix))
+    assert(idx.promoters.toSeq == Seq(0L, 2L, 4L) && ms >= 0)
+  }
+
+  test("the mixture's coins use piece 0 at seed + 1, not its CSR row") {
+    // Sampling the mixture as the (ℓ+1)-th piece of one campaign coins it with
+    // piece index ℓ: a different sample set, so this pin is not vacuous.
+    val n = Datasets.mini.nVertices
+    val mixture = Piece.uniformMixture(Datasets.mini.numTopics)
+    val asRow = CoverageIndex.build(MrrSampler.sampleBroadcast(spark, prep.edges, n, prep.pieces :+ mixture,
+      MrrConfig(1500, seed = 18L)), 1500, 4, n, prep.promoters)
+    val rowView = (0 until asRow.promoters.length).map(p => asRow.coverage(p * 4 + 3).toSeq)
+    val pinned = (0 until prep.mixtureIdx.candidateCount).map(c => prep.mixtureIdx.coverage(c).toSeq)
+    assert(rowView != pinned)
   }
 
   test("runAll produces all four methods with positive utilities") {

@@ -115,5 +115,8 @@ class SocialGraphGenSpec extends SparkSpec {
     intercept[IllegalArgumentException](Datasets.mini.copy(nVertices = 1))
     intercept[IllegalArgumentException](Datasets.mini.copy(topicsPerEdge = 99))
     intercept[IllegalArgumentException](Datasets.mini.copy(numTopics = 0))
+    // generate() limits to targetEdges.toInt
+    intercept[IllegalArgumentException](Datasets.mini.copy(targetEdges = Int.MaxValue + 1L))
+    assert(Datasets.mini.copy(targetEdges = Int.MaxValue).targetEdges == Int.MaxValue)
   }
 }

@@ -110,4 +110,67 @@ class MrrSamplerSpec extends SparkSpec {
     intercept[IllegalArgumentException](MrrConfig(theta = 0))
     intercept[IllegalArgumentException](MrrConfig(theta = 10, maxIters = 0))
   }
+
+  test("iterative sampler throws rather than truncate at maxIters") {
+    // Directed path 0 → 1 → … → 9 with p = 1: the RR set of root 9 is the
+    // whole path and needs 10 rounds (the last one finds nothing).
+    val path = TopicGraph.fromEdges(spark,
+      (0L until 9L).map(v => TopicGraph.TopicEdge(v, v + 1, Array(1.0))))
+    val pieces = Seq(Piece(Array(1.0)))
+    val e = intercept[IllegalStateException](
+      MrrSampler.sampleIterative(spark, path, 10, pieces, MrrConfig(theta = 30, seed = 3L, maxIters = 4)))
+    assert(e.getMessage.contains("still on the frontier"), e.getMessage)
+    val cfg = MrrConfig(theta = 30, seed = 3L, maxIters = 12)
+    val full = rows(MrrSampler.sampleIterative(spark, path, 10, pieces, cfg))
+    assert(full == (0 until cfg.theta).flatMap { s =>
+      (0L to MrrSampler.rootOf(s, 10, cfg.seed)).map(v => (s, 0, v))
+    }.toSet)
+    assert(full == rows(MrrSampler.sampleBroadcast(spark, path, 10, pieces, cfg)))
+  }
+
+  test("the reverse CSR lists each vertex's in-edges with per-piece probabilities") {
+    val csr = ReverseCsr.collect(exampleDf, 5, ExampleGraphs.pieces :+ Piece.uniformMixture(2))
+    assert(csr.nVertices == 5 && csr.sources.length == 6 && csr.numRows == 3)
+    val inEdges = (0 until 5).map { v =>
+      (csr.offsets(v) until csr.offsets(v + 1)).map(e => (csr.sources(e), csr.probs.map(_(e)).toSeq)).toSet
+    }
+    val expected = (0 until 5).map { v =>
+      ExampleGraphs.edges.filter(_.dst == v).map { e =>
+        (e.src.toInt, Seq(e.probs(0), e.probs(1), (e.probs(0) + e.probs(1)) / 2))
+      }.toSet
+    }
+    assert(inEdges == expected)
+  }
+
+  test("the reverse CSR rejects sizes that do not fit Int ids") {
+    intercept[IllegalArgumentException](ReverseCsr.checkSize(Int.MaxValue + 1L, 10L))
+    intercept[IllegalArgumentException](ReverseCsr.checkSize(10L, Int.MaxValue + 1L))
+    ReverseCsr.checkSize(Int.MaxValue, Int.MaxValue)
+    intercept[IllegalArgumentException](ReverseCsr.collect(exampleDf, Int.MaxValue + 1L, ExampleGraphs.pieces))
+    // endpoints must lie in [0, nVertices)
+    intercept[org.apache.spark.SparkException](ReverseCsr.collect(exampleDf, 4, ExampleGraphs.pieces))
+  }
+
+  test("fragments keep exactly the promoter memberships of the broadcast rows") {
+    // A live piece next to a zero-probability one: the kernel must give the
+    // zero piece singleton RR sets {root} while the live piece still grows.
+    val edges = SocialGraphGen.generate(spark, Datasets.mini)
+    val n = Datasets.mini.nVertices
+    val pieces = Seq(Piece.oneHot(1, 5), Piece(Array.fill(5)(0.0)))
+    val cfg = MrrConfig(theta = 200, seed = 21L)
+    val promoters = SocialGraphGen.promoters(Datasets.mini)
+    val csr = spark.sparkContext.broadcast(ReverseCsr.collect(edges, n, pieces))
+    val frags = try MrrSampler.sampleFragments(spark, csr, pieces.indices, cfg, promoters)
+      finally csr.destroy()
+    val got = frags.flatMap(f => f.candidates.zip(f.samples)).toSet
+    val pool = promoters.zipWithIndex.toMap
+    val expected = rows(MrrSampler.sampleBroadcast(spark, edges, n, pieces, cfg))
+      .collect { case (s, j, v) if pool.contains(v) => (pool(v) * 2 + j, s) }
+    assert(got == expected)
+    assert(frags.map(_.candidates.length).sum == got.size, "no (candidate, sample) pair repeats")
+    val zeroPiece = got.collect { case (c, s) if c % 2 == 1 => (promoters(c / 2), s) }
+    assert(zeroPiece == (0 until cfg.theta).map(s => (MrrSampler.rootOf(s, n, cfg.seed), s))
+      .filter(r => pool.contains(r._1)).toSet)
+    assert(got.count(_._1 % 2 == 0) > zeroPiece.size, "the live piece must reach beyond its roots")
+  }
 }

@@ -77,3 +77,12 @@ object SyntheticIndex {
     new CoverageIndex(theta, ell, nVertices, promoters, cov)
   }
 }
+
+/** An index's whole content — shape, pool and every coverage list — as a
+  * value, so two indices can be compared list for list.
+  */
+object IndexContent {
+  def apply(idx: CoverageIndex): (Int, Int, Long, Seq[Long], Seq[Seq[Int]]) =
+    (idx.theta, idx.ell, idx.nVertices, idx.promoters.toSeq,
+      (0 until idx.candidateCount).map(c => idx.coverage(c).toSeq))
+}
