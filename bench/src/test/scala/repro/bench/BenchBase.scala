@@ -1,49 +1,43 @@
 package repro.bench
 
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
-import repro.exp.ExperimentRunner
 import repro.exp.ExperimentRunner.Prepared
-import repro.graphgen.{Datasets, GraphSpec}
+import repro.exp.Figures
+import repro.graphgen.GraphSpec
 import scala.collection.mutable
 
-/** Shared bench configuration (DESIGN.md §3 substitutions).
-  *
-  * θ is scaled down from the paper's 10⁶ (estimator error ≪ method gaps at
-  * our graph sizes), and every bench reuses one ℓ=5 sampling pass per dataset
-  * via piece-prefix restriction. BAB/BAB-P terminate at the paper's 1 % gap
-  * with a bound-call cap as a safety valve.
+/** Every table and figure of one dataset, each computed on first use from
+  * the dataset's one `Figures.prepare`.
   */
-object BenchConfig {
-  val MaxEll = 5
-  val GapTol = 0.01
-  val MaxBoundCalls = 60
-
-  def thetaOf(spec: GraphSpec): Int = if (spec.name == "lastfm") 20000 else 10000
-
-  val datasets: Seq[GraphSpec] = Datasets.all
+final class DatasetFigures(val prep: Prepared) {
+  lazy val fig3: Figures.Sweep[Double] = Figures.varyEpsilon(prep)
+  lazy val fig4: Figures.Sweep[Int] = Figures.varyK(prep)
+  lazy val fig5: Figures.Sweep[Int] = Figures.varyL(prep)
+  lazy val fig6: Figures.Sweep[Double] = Figures.varyBetaAlpha(prep)
+  lazy val speedup: Seq[Figures.Speedup] = Figures.speedup(fig4)
 }
 
-/** One prepared dataset per JVM, shared across bench suites. */
-object PrepCache {
-  private val cache = mutable.Map.empty[String, Prepared]
+/** One [[DatasetFigures]] per dataset and JVM, shared across bench suites. */
+object FigureCache {
+  private val cache = mutable.Map.empty[String, DatasetFigures]
 
-  def get(spark: org.apache.spark.sql.SparkSession, spec: GraphSpec): Prepared =
+  def get(spark: SparkSession, spec: GraphSpec): DatasetFigures =
     synchronized {
       cache.getOrElseUpdate(spec.name,
-        ExperimentRunner.prepare(spark, spec, ell = BenchConfig.MaxEll,
-          theta = BenchConfig.thetaOf(spec)))
+        new DatasetFigures(Figures.prepare(spark, spec, Figures.theta(spec))))
     }
 }
 
 /** Base trait for bench suites: SparkSpec plus result-table plumbing. */
 trait BenchBase extends SparkSpec {
 
-  def prepared(spec: GraphSpec): Prepared = PrepCache.get(spark, spec)
+  def figures(spec: GraphSpec): DatasetFigures = FigureCache.get(spark, spec)
 
   /** Print a result table with a grep-friendly marker for EXPERIMENTS.md. */
-  def report(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
+  def report(title: String, table: String): Unit = {
     println(s"\n==== BENCH: $title ====")
-    print(ExperimentRunner.markdownTable(header, rows))
+    print(table)
     println(s"==== END: $title ====\n")
   }
 }

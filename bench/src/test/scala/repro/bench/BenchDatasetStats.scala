@@ -1,33 +1,28 @@
 package repro.bench
 
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Figures
+import repro.graphgen.{Datasets, GraphSpec}
 
 /** Table III: dataset statistics and MRR sample time. */
 class BenchDatasetStats extends BenchBase {
 
   test("Table III: dataset statistics") {
-    val rows = BenchConfig.datasets.map { spec =>
-      val prep = prepared(spec)
+    val preps = Datasets.all.map(figures(_).prep)
+    preps.foreach { prep =>
+      val spec = prep.spec
       assert(prep.realizedEdges > 0.8 * spec.targetEdges,
         s"${spec.name}: only ${prep.realizedEdges} of ${spec.targetEdges} edges realized")
       assert(prep.promoters.length > 0.05 * spec.nVertices)
-      Seq(spec.name, spec.nVertices.toString, prep.realizedEdges.toString,
-        fmt(prep.realizedEdges.toDouble / spec.nVertices), spec.numTopics.toString,
-        BenchConfig.thetaOf(spec).toString, s"${prep.sampleTimeMs} ms")
     }
-    report("Table III — dataset statistics",
-      Seq("dataset", "|V|", "|E|", "avg degree", "topics", "theta", "sample time"), rows)
+    report("Table III — dataset statistics", Figures.datasetStats(preps))
   }
 
   test("average degrees track the paper's ratios") {
-    val lastfm = prepared(BenchConfig.datasets.find(_.name == "lastfm").get)
-    val dblp = prepared(BenchConfig.datasets.find(_.name == "dblp").get)
-    val tweet = prepared(BenchConfig.datasets.find(_.name == "tweet").get)
-    def avgDeg(p: repro.exp.ExperimentRunner.Prepared): Double =
-      p.realizedEdges.toDouble / p.spec.nVertices
+    def avgDeg(spec: GraphSpec): Double =
+      figures(spec).prep.realizedEdges.toDouble / spec.nVertices
     // Paper: lastfm 8.7–11.5, dblp ~12, tweet ~1.2.
-    assert(avgDeg(lastfm) > 8 && avgDeg(lastfm) < 13)
-    assert(avgDeg(dblp) > 9 && avgDeg(dblp) < 13)
-    assert(avgDeg(tweet) > 0.9 && avgDeg(tweet) < 1.3)
+    assert(avgDeg(Datasets.lastfmLike) > 8 && avgDeg(Datasets.lastfmLike) < 13)
+    assert(avgDeg(Datasets.dblpLike) > 9 && avgDeg(Datasets.dblpLike) < 13)
+    assert(avgDeg(Datasets.tweetLike) > 0.9 && avgDeg(Datasets.tweetLike) < 1.3)
   }
 }

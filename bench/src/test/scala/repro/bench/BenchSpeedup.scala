@@ -1,39 +1,22 @@
 package repro.bench
 
-import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.exp.Figures
+import repro.graphgen.Datasets
 
 /** Headline efficiency claim (§VI-C): the progressive upper-bound estimation
   * (BAB-P) is substantially faster than plain branch-and-bound (BAB) at equal
   * search budget, with near-equivalent utility — the paper reports up to
-  * 24×/22×/8.1× on lastfm/dblp/tweet.
+  * 24×/22×/8.1× on lastfm/dblp/tweet. The rows are Figure 4's k = 50 and 100.
   */
 class BenchSpeedup extends BenchBase {
 
-  private val params = LogisticParams.fromRatio(0.5)
-
   test("BAB-P vs BAB speedup at k = 50 and 100") {
-    val rows = for {
-      spec <- BenchConfig.datasets
-      k <- Seq(50, 100)
-    } yield {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("BAB", "BAB-P"),
-        gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-      val bab = rs.find(_.name == "BAB").get
-      val pro = rs.find(_.name == "BAB-P").get
-      val speedup = bab.timeMs.toDouble / math.max(pro.timeMs, 1L)
-      val evalRatio = bab.tauEvals.toDouble / math.max(pro.tauEvals, 1L)
-      val quality = pro.utility / math.max(bab.utility, 1e-9)
+    val rows = Datasets.all.flatMap(figures(_).speedup)
+    report("Speedup — BAB vs BAB-P", Figures.speedupTable(rows))
+    rows.foreach { s =>
       // Shape: BAB-P must do far fewer tau evaluations without losing much quality.
-      assert(evalRatio > 1.0, s"${spec.name} k=$k: evalRatio=$evalRatio")
-      assert(quality > 0.65, s"${spec.name} k=$k: quality=$quality")
-      Seq(spec.name, k.toString, bab.timeMs.toString, pro.timeMs.toString,
-        fmt(speedup), fmt(evalRatio), fmt(quality))
+      assert(s.evalRatio > 1.0, s"${s.dataset} k=${s.k}: evalRatio=${s.evalRatio}")
+      assert(s.utilityRatio > 0.65, s"${s.dataset} k=${s.k}: quality=${s.utilityRatio}")
     }
-    report("Speedup — BAB vs BAB-P",
-      Seq("dataset", "k", "BAB_ms", "BAB-P_ms", "speedup", "tau_eval_ratio", "utility_ratio"),
-      rows)
   }
 }

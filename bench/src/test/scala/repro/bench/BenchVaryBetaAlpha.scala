@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.graphgen.Datasets
 
 /** Figure 6: adoption utility vs the adoption-difficulty ratio β/α
   * (k=50, ℓ=3, ε=0.5). The MRR samples are independent of (α, β), so one
@@ -10,33 +8,22 @@ import repro.exp.ExperimentRunner.fmt
   */
 class BenchVaryBetaAlpha extends BenchBase {
 
-  private val ratios = Seq(0.3, 0.5, 0.7)
-  private val k = 50
-
-  BenchConfig.datasets.foreach { spec =>
+  Datasets.all.foreach { spec =>
     test(s"Figure 6 — vary beta/alpha on ${spec.name}") {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val rows = ratios.flatMap { ratio =>
-        val rs = ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-        val byName = rs.map(r => r.name -> r).toMap
-        assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"ratio=$ratio")
-        assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"ratio=$ratio")
-        rs.map(r => Seq(spec.name, ratio.toString, r.name, fmt(r.utility), r.timeMs.toString))
+      val fig = figures(spec).fig6
+      report(s"Figure 6 — vary beta/alpha (${spec.name})", fig.table)
+      fig.values.foreach { ratio =>
+        assert(fig.at(ratio, "BAB").utility >= fig.at(ratio, "TIM").utility * 0.999, s"ratio=$ratio")
+        assert(fig.at(ratio, "BAB").utility >= fig.at(ratio, "IM").utility - 1e-9, s"ratio=$ratio")
       }
-      report(s"Figure 6 — vary beta/alpha (${spec.name})",
-        Seq("dataset", "beta/alpha", "method", "utility", "time_ms"), rows)
     }
   }
 
   test("utility rises with beta/alpha and BAB's edge is larger when adoption is harder") {
-    BenchConfig.datasets.foreach { spec =>
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
+    Datasets.all.foreach { spec =>
+      val fig = figures(spec).fig6
       def at(ratio: Double): Map[String, Double] =
-        ExperimentRunner.runAll(prep, k, LogisticParams.fromRatio(ratio),
-          methods = Set("TIM", "BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-          .map(r => r.name -> r.utility).toMap
+        Seq("TIM", "BAB").map(m => m -> fig.at(ratio, m).utility).toMap
       val hard = at(0.3)
       val easy = at(0.7)
       assert(easy("BAB") > hard("BAB"), s"${spec.name}: easier adoption must raise utility")

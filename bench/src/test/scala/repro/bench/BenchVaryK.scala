@@ -1,44 +1,29 @@
 package repro.bench
 
-import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.graphgen.Datasets
 
 /** Figure 4: adoption utility and selection time vs budget k for the four
   * compared methods (ℓ=3, β/α=0.5, ε=0.5).
   */
 class BenchVaryK extends BenchBase {
 
-  private val params = LogisticParams.fromRatio(0.5)
-  private val ks = Seq(10, 20, 50, 100)
-
-  BenchConfig.datasets.foreach { spec =>
+  Datasets.all.foreach { spec =>
     test(s"Figure 4 — vary k on ${spec.name}") {
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val rows = ks.flatMap { k =>
-        val rs = ExperimentRunner.runAll(prep, k, params,
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-        val byName = rs.map(r => r.name -> r).toMap
+      val fig = figures(spec).fig4
+      report(s"Figure 4 — vary k (${spec.name})", fig.table)
+      fig.values.foreach { k =>
         // Shape: BAB beats both IM-style baselines; BAB-P stays close to BAB.
-        assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"k=$k")
-        assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"k=$k")
-        assert(byName("BAB-P").utility >= 0.65 * byName("BAB").utility, s"k=$k")
-        rs.map(r => Seq(spec.name, k.toString, r.name, fmt(r.utility),
-          r.timeMs.toString, r.tauEvals.toString, fmt(r.gap)))
+        assert(fig.at(k, "BAB").utility >= fig.at(k, "IM").utility - 1e-9, s"k=$k")
+        assert(fig.at(k, "BAB").utility >= fig.at(k, "TIM").utility * 0.999, s"k=$k")
+        assert(fig.at(k, "BAB-P").utility >= 0.65 * fig.at(k, "BAB").utility, s"k=$k")
       }
-      report(s"Figure 4 — vary k (${spec.name})",
-        Seq("dataset", "k", "method", "utility", "time_ms", "tau_evals", "gap"), rows)
     }
   }
 
   test("utility is non-decreasing in k for BAB") {
-    BenchConfig.datasets.foreach { spec =>
-      val prep = ExperimentRunner.restrict(prepared(spec), 3)
-      val utils = ks.map { k =>
-        ExperimentRunner.runAll(prep, k, params, methods = Set("BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-          .head.utility
-      }
+    Datasets.all.foreach { spec =>
+      val fig = figures(spec).fig4
+      val utils = fig.values.map(fig.at(_, "BAB").utility)
       utils.sliding(2).foreach { case Seq(a, b) =>
         assert(b >= a * 0.999, s"${spec.name}: $utils")
       }

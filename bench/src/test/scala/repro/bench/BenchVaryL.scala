@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.fmt
+import repro.graphgen.Datasets
 
 /** Figure 5: adoption utility and selection time vs the number of viral
   * pieces ℓ (k=50, β/α=0.5, ε=0.5). One sampling pass at ℓ=5 serves every ℓ
@@ -10,23 +8,14 @@ import repro.exp.ExperimentRunner.fmt
   */
 class BenchVaryL extends BenchBase {
 
-  private val params = LogisticParams.fromRatio(0.5)
-  private val k = 50
-
-  BenchConfig.datasets.foreach { spec =>
+  Datasets.all.foreach { spec =>
     test(s"Figure 5 — vary l on ${spec.name}") {
-      val full = prepared(spec)
-      val rows = (1 to BenchConfig.MaxEll).flatMap { ell =>
-        val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params,
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-        val byName = rs.map(r => r.name -> r).toMap
-        assert(byName("BAB").utility >= byName("TIM").utility * 0.999, s"l=$ell")
-        assert(byName("BAB").utility >= byName("IM").utility - 1e-9, s"l=$ell")
-        rs.map(r => Seq(spec.name, ell.toString, r.name, fmt(r.utility), r.timeMs.toString))
+      val fig = figures(spec).fig5
+      report(s"Figure 5 — vary l (${spec.name})", fig.table)
+      fig.values.foreach { ell =>
+        assert(fig.at(ell, "BAB").utility >= fig.at(ell, "TIM").utility * 0.999, s"l=$ell")
+        assert(fig.at(ell, "BAB").utility >= fig.at(ell, "IM").utility - 1e-9, s"l=$ell")
       }
-      report(s"Figure 5 — vary l (${spec.name})",
-        Seq("dataset", "l", "method", "utility", "time_ms"), rows)
     }
   }
 
@@ -34,15 +23,10 @@ class BenchVaryL extends BenchBase {
     // Paper §VI-D: single-piece baselines degrade as l grows because a user
     // needs several pieces to adopt. At l=1 TIM equals the problem BAB
     // solves; by l=5 BAB must be strictly ahead.
-    BenchConfig.datasets.foreach { spec =>
-      val full = prepared(spec)
-      def gainAt(ell: Int): Double = {
-        val prep = ExperimentRunner.restrict(full, ell)
-        val rs = ExperimentRunner.runAll(prep, k, params, methods = Set("TIM", "BAB"),
-          gapTol = BenchConfig.GapTol, maxBoundCalls = BenchConfig.MaxBoundCalls)
-        val byName = rs.map(r => r.name -> r.utility).toMap
-        byName("BAB") / math.max(byName("TIM"), 1e-9)
-      }
+    Datasets.all.foreach { spec =>
+      val fig = figures(spec).fig5
+      def gainAt(ell: Int): Double =
+        fig.at(ell, "BAB").utility / math.max(fig.at(ell, "TIM").utility, 1e-9)
       val g1 = gainAt(1)
       val g5 = gainAt(5)
       assert(g1 <= 1.05, s"${spec.name}: at l=1 TIM should nearly match BAB, ratio $g1")

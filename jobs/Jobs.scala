@@ -1,14 +1,13 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.LogisticParams
-import repro.exp.ExperimentRunner
-import repro.exp.ExperimentRunner.{fmt, markdownTable}
+import repro.exp.ExperimentRunner.Prepared
+import repro.exp.Figures
 import repro.graphgen.Datasets
 
 /** Shared plumbing for the spark-submit entrypoints (one per evaluation
-  * table/figure). Each job prints the same markdown rows the corresponding
-  * bench suite records into EXPERIMENTS.md.
+  * table/figure). Each job prints its table from `repro.exp.Figures`, the
+  * definition the bench suites check.
   *
   * Usage: `spark-submit --class repro.jobs.<Job> <jar> [dataset] [theta]`
   * where dataset ∈ {lastfm, dblp, tweet} (default: lastfm).
@@ -34,89 +33,44 @@ object JobCommon {
   def theta(args: Array[String], default: Int): Int =
     args.lift(1).map(_.toInt).getOrElse(default)
 
-  def defaultTheta(spec: repro.graphgen.GraphSpec): Int =
-    if (spec.name == "lastfm") 20000 else 10000
+  /** Print the table `render` makes in a fresh session, then stop it. */
+  def printTable(name: String)(render: SparkSession => String): Unit = {
+    val spark = session(name)
+    try println(render(spark)) finally spark.stop()
+  }
+
+  /** Print `figure` of the dataset `args` names, prepared once. */
+  def printFigure(name: String, args: Array[String])(figure: Prepared => String): Unit =
+    printTable(name) { spark =>
+      val spec = dataset(args)
+      figure(Figures.prepare(spark, spec, theta(args, Figures.theta(spec))))
+    }
 }
 
 /** Table III: dataset statistics and MRR sample time. */
 object DatasetStats {
-  def main(args: Array[String]): Unit = {
-    val spark = JobCommon.session("oipa-dataset-stats")
-    val rows = Datasets.all.map { spec =>
-      val prep = ExperimentRunner.prepare(spark, spec, ell = 3, theta = JobCommon.defaultTheta(spec))
-      Seq(spec.name, spec.nVertices.toString, prep.realizedEdges.toString,
-        fmt(prep.realizedEdges.toDouble / spec.nVertices), spec.numTopics.toString,
-        s"${prep.sampleTimeMs} ms")
-    }
-    println(markdownTable(
-      Seq("dataset", "|V|", "|E|", "avg degree", "topics", "sample time"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobCommon.printTable("oipa-dataset-stats")(spark =>
+    Figures.datasetStats(Datasets.all.map(spec => Figures.prepare(spark, spec, Figures.theta(spec)))))
 }
 
 /** Figure 4: utility and selection time vs budget k, four methods. */
 object VaryK {
-  def main(args: Array[String]): Unit = {
-    val spark = JobCommon.session("oipa-vary-k")
-    val spec = JobCommon.dataset(args)
-    val prep = ExperimentRunner.prepare(spark, spec, ell = 3,
-      theta = JobCommon.theta(args, JobCommon.defaultTheta(spec)))
-    val params = LogisticParams.fromRatio(0.5)
-    val rows = for {
-      k <- Seq(10, 20, 50, 100)
-      r <- ExperimentRunner.runAll(prep, k, params)
-    } yield Seq(spec.name, k.toString, r.name, fmt(r.utility), s"${r.timeMs} ms")
-    println(markdownTable(Seq("dataset", "k", "method", "utility", "time"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobCommon.printFigure("oipa-vary-k", args)(Figures.varyK(_).table)
 }
 
 /** Figure 5: utility and selection time vs number of viral pieces ℓ. */
 object VaryL {
-  def main(args: Array[String]): Unit = {
-    val spark = JobCommon.session("oipa-vary-l")
-    val spec = JobCommon.dataset(args)
-    val params = LogisticParams.fromRatio(0.5)
-    val theta = JobCommon.theta(args, JobCommon.defaultTheta(spec))
-    val rows = for {
-      ell <- 1 to 5
-      prep = ExperimentRunner.prepare(spark, spec, ell, theta)
-      r <- ExperimentRunner.runAll(prep, k = 50, params)
-    } yield Seq(spec.name, ell.toString, r.name, fmt(r.utility), s"${r.timeMs} ms")
-    println(markdownTable(Seq("dataset", "l", "method", "utility", "time"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobCommon.printFigure("oipa-vary-l", args)(Figures.varyL(_).table)
 }
 
 /** Figure 6: utility vs the adoption-difficulty ratio β/α. */
 object VaryBetaAlpha {
-  def main(args: Array[String]): Unit = {
-    val spark = JobCommon.session("oipa-vary-beta-alpha")
-    val spec = JobCommon.dataset(args)
-    val prep = ExperimentRunner.prepare(spark, spec, ell = 3,
-      theta = JobCommon.theta(args, JobCommon.defaultTheta(spec)))
-    val rows = for {
-      ratio <- Seq(0.3, 0.5, 0.7)
-      r <- ExperimentRunner.runAll(prep, k = 50, LogisticParams.fromRatio(ratio))
-    } yield Seq(spec.name, ratio.toString, r.name, fmt(r.utility), s"${r.timeMs} ms")
-    println(markdownTable(Seq("dataset", "beta/alpha", "method", "utility", "time"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobCommon.printFigure("oipa-vary-beta-alpha", args)(Figures.varyBetaAlpha(_).table)
 }
 
 /** Figure 3: BAB-P utility vs the progressive-threshold parameter ε. */
 object VaryEpsilon {
-  def main(args: Array[String]): Unit = {
-    val spark = JobCommon.session("oipa-vary-epsilon")
-    val spec = JobCommon.dataset(args)
-    val prep = ExperimentRunner.prepare(spark, spec, ell = 3,
-      theta = JobCommon.theta(args, JobCommon.defaultTheta(spec)))
-    val params = LogisticParams.fromRatio(0.5)
-    val rows = for {
-      eps <- Seq(0.1, 0.3, 0.5, 0.7, 0.9)
-      r <- ExperimentRunner.runAll(prep, k = 50, params, eps = eps, methods = Set("BAB-P"))
-    } yield Seq(spec.name, eps.toString, fmt(r.utility), s"${r.timeMs} ms")
-    println(markdownTable(Seq("dataset", "epsilon", "utility", "time"), rows))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobCommon.printFigure("oipa-vary-epsilon", args)(Figures.varyEpsilon(_).table)
 }

@@ -18,7 +18,7 @@ import scala.collection.mutable
 object Baselines {
 
   /** One baseline outcome: the chosen single-piece plan and its AU. */
-  final case class BaselineResult(plan: Plan, sigma: Double, piece: Int, elapsedMs: Long)
+  final case class BaselineResult(plan: Plan, sigma: Double, piece: Int, elapsedNs: Long)
 
   /** Greedy maximum coverage (CELF) over RR-sample lists: pick ≤ k entries
     * maximizing the number of distinct covered samples. Ties break toward the
@@ -71,7 +71,7 @@ object Baselines {
         best = Some(BaselineResult(plan, sigma, j, 0L))
     }
     val r = best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
-    r.copy(elapsedMs = (System.nanoTime() - t0) / 1000000L)
+    r.copy(elapsedNs = System.nanoTime() - t0)
   }
 
   /** IM: topic-agnostic seed selection over a separate single-"piece" RR
@@ -101,6 +101,6 @@ object Baselines {
         best = Some(BaselineResult(plan, sigma, j, 0L))
     }
     val r = best.getOrElse(throw new IllegalStateException("campaign has no pieces"))
-    r.copy(elapsedMs = (System.nanoTime() - t0) / 1000000L)
+    r.copy(elapsedNs = System.nanoTime() - t0)
   }
 }

@@ -32,7 +32,7 @@ final case class BabResult(
     gap: Double,
     boundCalls: Int,
     tauEvals: Long,
-    elapsedMs: Long)
+    elapsedNs: Long)
 
 /** Branch-and-bound framework for OIPA (Algorithm 1).
   *
@@ -112,7 +112,7 @@ object BranchAndBound {
       gap = gap,
       boundCalls = calls,
       tauEvals = bounder.tauEvals - evals0,
-      elapsedMs = (System.nanoTime() - t0) / 1000000L)
+      elapsedNs = System.nanoTime() - t0)
   }
 
   /** Convenience: plain branch-and-bound (Algorithm 1 + Algorithm 2). */

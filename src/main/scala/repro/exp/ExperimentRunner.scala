@@ -9,8 +9,8 @@ import repro.util.HashRng
 /** Shared harness behind every evaluation table/figure (§VI).
   *
   * `prepare` builds the dataset once — graph, campaign pieces, MRR samples,
-  * coverage indices — and the per-figure benches sweep k / ℓ / β/α / ε over
-  * it. Pieces are one-hot topic vectors over hash-shuffled distinct topics
+  * coverage indices — and [[Figures]] sweeps k / ℓ / β/α / ε over it.
+  * Pieces are one-hot topic vectors over hash-shuffled distinct topics
   * ("uniformly sampling a non-zero topic dimension", §VI-A). As in the paper,
   * method timings exclude the shared sampling time, which is reported
   * separately (Table III's "Sample Time").
@@ -37,11 +37,13 @@ object ExperimentRunner {
       realizedEdges: Long,
       sampleTimeMs: Long)
 
-  /** One method's outcome on one configuration. */
+  /** One method's outcome on one configuration; `timeNs` is its selection
+    * time in nanoseconds.
+    */
   final case class MethodResult(
       name: String,
       utility: Double,
-      timeMs: Long,
+      timeNs: Long,
       tauEvals: Long = 0L,
       boundCalls: Int = 0,
       gap: Double = 0.0)
@@ -50,7 +52,7 @@ object ExperimentRunner {
     * distinct topic order (ℓ ≤ |Z| in all experiments).
     */
   def pieceVectors(ell: Int, numTopics: Int, seed: Long): Seq[Piece] = {
-    require(ell <= numTopics, s"need ℓ ≤ |Z|: ℓ=$ell, |Z|=$numTopics")
+    require(ell >= 1 && ell <= numTopics, s"need 1 ≤ ℓ ≤ |Z|: ℓ=$ell, |Z|=$numTopics")
     val shuffled = (0 until numTopics)
       .sortBy(z => HashRng.uniform(seed, TagPieceTopic, z.toLong))
     shuffled.take(ell).map(Piece.oneHot(_, numTopics))
@@ -64,9 +66,9 @@ object ExperimentRunner {
       theta: Int,
       promoterFraction: Double = 0.1,
       seed: Long = 17L): Prepared = {
+    val pieces = pieceVectors(ell, spec.numTopics, seed)
     val edges = SocialGraphGen.generate(spark, spec).persist()
     val realizedEdges = edges.count()
-    val pieces = pieceVectors(ell, spec.numTopics, seed)
     val promoters = SocialGraphGen.promoters(spec, promoterFraction)
 
     val (idx, mixtureIdx, sampleTimeMs) =
@@ -115,32 +117,33 @@ object ExperimentRunner {
   def restrict(prep: Prepared, ell: Int): Prepared =
     prep.copy(pieces = prep.pieces.take(ell), idx = prep.idx.takePieces(ell))
 
-  /** Run the four compared methods on one configuration. */
+  /** Run the four compared methods on one configuration. BAB and BAB-P stop
+    * at the paper's 1 % bound gap (§VI-A) or after 2000 ComputeBound calls,
+    * whichever comes first; the achieved gap is reported.
+    */
   def runAll(
       prep: Prepared,
       k: Int,
       params: LogisticParams,
       eps: Double = 0.5,
-      gapTol: Double = 0.01,
-      maxBoundCalls: Int = 2000,
       methods: Set[String] = Set("IM", "TIM", "BAB", "BAB-P")): Seq[MethodResult] = {
     val out = Seq.newBuilder[MethodResult]
     if (methods("IM")) {
       val r = Baselines.runIM(prep.mixtureIdx, prep.idx, params, k)
-      out += MethodResult("IM", r.sigma, r.elapsedMs)
+      out += MethodResult("IM", r.sigma, r.elapsedNs)
     }
     if (methods("TIM")) {
       val r = Baselines.runTIM(prep.idx, params, k)
-      out += MethodResult("TIM", r.sigma, r.elapsedMs)
+      out += MethodResult("TIM", r.sigma, r.elapsedNs)
     }
-    val cfg = BabConfig(k, gapTol, maxBoundCalls)
+    val cfg = BabConfig(k, gapTol = 0.01, maxBoundCalls = 2000)
     if (methods("BAB")) {
       val r = BranchAndBound.runGreedy(prep.idx, params, cfg)
-      out += MethodResult("BAB", r.sigma, r.elapsedMs, r.tauEvals, r.boundCalls, r.gap)
+      out += MethodResult("BAB", r.sigma, r.elapsedNs, r.tauEvals, r.boundCalls, r.gap)
     }
     if (methods("BAB-P")) {
       val r = BranchAndBound.runProgressive(prep.idx, params, cfg, eps)
-      out += MethodResult("BAB-P", r.sigma, r.elapsedMs, r.tauEvals, r.boundCalls, r.gap)
+      out += MethodResult("BAB-P", r.sigma, r.elapsedNs, r.tauEvals, r.boundCalls, r.gap)
     }
     out.result()
   }

@@ -25,6 +25,8 @@ class ExperimentRunnerSpec extends SparkSpec {
     assert(ExperimentRunner.pieceVectors(3, 10, 5L).map(_.weights.toSeq) ==
       ExperimentRunner.pieceVectors(3, 10, 5L).map(_.weights.toSeq))
     intercept[IllegalArgumentException](ExperimentRunner.pieceVectors(11, 10, 5L))
+    intercept[IllegalArgumentException](ExperimentRunner.pieceVectors(0, 10, 5L))
+    intercept[IllegalArgumentException](ExperimentRunner.prepare(spark, Datasets.mini, ell = 0, theta = 10))
   }
 
   test("piece sweeps share a prefix: same seed gives nested campaigns") {
@@ -91,7 +93,7 @@ class ExperimentRunnerSpec extends SparkSpec {
     val rs = ExperimentRunner.runAll(prep, k = 5, params)
     assert(rs.map(_.name) == Seq("IM", "TIM", "BAB", "BAB-P"))
     rs.foreach(r => assert(r.utility > 0, s"${r.name} utility=${r.utility}"))
-    rs.foreach(r => assert(r.timeMs >= 0))
+    rs.foreach(r => assert(r.timeNs > 0))
   }
 
   test("BAB dominates the baselines; BAB-P stays close to BAB") {
