@@ -10,7 +10,7 @@ import scala.collection.mutable
   * @param maxBoundCalls safety valve on ComputeBound invocations; on hit the
   *                      best plan so far is returned with the achieved gap
   */
-final case class BabConfig(k: Int, gapTol: Double = 0.01, maxBoundCalls: Int = 20000) {
+final case class BabConfig(k: Int, gapTol: Double = 0.01, maxBoundCalls: Int = 2000) {
   require(k > 0, s"budget must be positive, got $k")
   require(gapTol >= 0, s"gap tolerance must be non-negative, got $gapTol")
   require(maxBoundCalls > 0, s"maxBoundCalls must be positive, got $maxBoundCalls")

@@ -16,7 +16,7 @@ import scala.collection.mutable
   * @param theta     number of MRR samples drawn
   * @param ell       number of viral pieces
   * @param nVertices |V| of the underlying graph (estimator scale n/θ)
-  * @param promoters sorted promoter pool Vp
+  * @param promoters promoter pool Vp, strictly ascending
   */
 final class CoverageIndex(
     val theta: Int,
@@ -31,15 +31,15 @@ final class CoverageIndex(
     s"${promoters.length} promoters × $ell pieces overflow the Int candidate id")
   require(cov.length == promoters.length * ell,
     s"coverage arity mismatch: ${cov.length} lists for ${promoters.length} promoters × $ell pieces")
-
-  private val promoterIdx: Map[Long, Int] = promoters.zipWithIndex.toMap
+  require((1 until promoters.length).forall(i => promoters(i - 1) < promoters(i)),
+    "the promoter pool must be strictly ascending")
 
   def candidateCount: Int = promoters.length * ell
 
   def candidateOf(promoter: Long, piece: Int): Int = {
     require(piece >= 0 && piece < ell, s"piece $piece out of [0, $ell)")
-    val p = promoterIdx.getOrElse(promoter,
-      throw new IllegalArgumentException(s"vertex $promoter is not in the promoter pool"))
+    val p = java.util.Arrays.binarySearch(promoters, promoter)
+    require(p >= 0, s"vertex $promoter is not in the promoter pool")
     p * ell + piece
   }
 

@@ -2,7 +2,6 @@ package repro.influence
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.util.HashRng
 
 /** Multi-Reverse-Reachable (MRR) set sampling (§V-A).
@@ -13,21 +12,16 @@ import repro.util.HashRng
   * Output rows are `(sample: Int, piece: Int, v: Long)` — the union of all RR
   * memberships, root included.
   *
-  * Edge liveness is a pure hash of `(seed, sample, piece, src, dst)`, so
-  *
-  *   - one (sample, piece) pair sees one fixed live-edge world, the exact
-  *     live-edge semantics RR sets require, and
-  *   - the two engines below produce bit-identical outputs (tested):
-  *
-  * `sampleIterative` — an iterative DataFrame job: the frontier is joined
-  * against the per-piece edge table each round, coins filter live edges, an
-  * anti-join against the visited set dedupes, and `localCheckpoint` truncates
-  * lineage. This is the distributed-dataflow path.
+  * Edge liveness is a pure hash of `(seed, sample, piece, src, dst)`, so one
+  * (sample, piece) pair sees one fixed live-edge world, the exact live-edge
+  * semantics RR sets require, and any engine that flips the same coins draws
+  * the same sets (tests pin this kernel against an independent DataFrame-join
+  * sampler).
   *
   * `sampleBroadcast` — the graph is collected once into a [[ReverseCsr]]
   * with one probability row per piece and broadcast; samples are partitioned
   * across executors and each partition runs a local reverse BFS (`RrKernel`).
-  * Much faster when the graph fits an executor, which all bench profiles do.
+  * Only the reverse adjacency has to fit in memory (Borgs et al., SODA 2014).
   *
   * `sampleFragments` runs the same kernel on an already broadcast CSR but
   * keeps only promoter memberships, as `(candidate, sample)` fragments that
@@ -38,9 +32,8 @@ object MrrSampler {
   private val TagRoot = 201L
   private val TagCoin = 202L
 
-  final case class MrrConfig(theta: Int, seed: Long = 1L, maxIters: Int = 64) {
+  final case class MrrConfig(theta: Int, seed: Long = 1L) {
     require(theta > 0, s"theta must be positive, got $theta")
-    require(maxIters > 0, s"maxIters must be positive, got $maxIters")
   }
 
   /** The root user of sample `i` — uniform over [0, n). */
@@ -51,66 +44,8 @@ object MrrSampler {
   def edgeAlive(sample: Int, piece: Int, src: Long, dst: Long, p: Double, seed: Long): Boolean =
     HashRng.uniform(seed, TagCoin, sample.toLong, piece.toLong, src, dst) < p
 
-  /** Distributed-dataflow sampler: iterative frontier expansion as DataFrame
-    * joins over the edge table. Throws `IllegalStateException` when the
-    * frontier is still non-empty after `cfg.maxIters` rounds rather than
-    * return truncated RR sets.
-    */
-  def sampleIterative(
-      spark: SparkSession,
-      edges: DataFrame,
-      n: Long,
-      pieces: Seq[Piece],
-      cfg: MrrConfig): DataFrame = {
-    import spark.implicits._
-    val seed = cfg.seed
-
-    val pe = TopicGraph.influenceGraphs(edges, pieces)
-      .select(col("piece").as("epiece"), col("src").as("esrc"), col("dst").as("edst"), col("p"))
-      .persist()
-    pe.count() // materialize once; reused every round
-
-    val rootUdf = udf((sample: Int) => rootOf(sample, n, seed))
-    val pieceIdx = typedLit(pieces.indices.toList)
-    var visited = spark.range(cfg.theta)
-      .select(col("id").cast("int").as("sample"), explode(pieceIdx).as("piece"))
-      .withColumn("v", rootUdf(col("sample")))
-      .localCheckpoint(true)
-    var frontier = visited
-
-    val coinUdf = udf((sample: Int, piece: Int, src: Long, dst: Long) =>
-      HashRng.uniform(seed, TagCoin, sample.toLong, piece.toLong, src, dst))
-
-    var iter = 0
-    var done = false
-    while (!done) {
-      if (iter == cfg.maxIters) {
-        val open = frontier.select("sample").distinct().count()
-        pe.unpersist()
-        throw new IllegalStateException(
-          s"sampleIterative: $open samples still on the frontier after maxIters=${cfg.maxIters} rounds")
-      }
-      val cand = frontier
-        .join(pe, frontier("piece") === pe("epiece") && frontier("v") === pe("edst"))
-        .where(coinUdf(col("sample"), col("piece"), col("esrc"), col("edst")) < col("p"))
-        .select(col("sample"), col("piece"), col("esrc").as("v"))
-        .distinct()
-      val newFrontier = cand
-        .join(visited, Seq("sample", "piece", "v"), "left_anti")
-        .localCheckpoint(true)
-      if (newFrontier.isEmpty) done = true
-      else {
-        visited = visited.union(newFrontier).localCheckpoint(true)
-        frontier = newFrontier
-      }
-      iter += 1
-    }
-    pe.unpersist()
-    visited
-  }
-
-  /** Broadcast sampler: same semantics, samples partitioned across the
-    * cluster, graph shipped once as a [[ReverseCsr]] with one row per piece.
+  /** Broadcast sampler: samples partitioned across the cluster, graph
+    * shipped once as a [[ReverseCsr]] with one row per piece.
     * Rows are emitted lazily; only the CSR build runs eagerly.
     */
   def sampleBroadcast(

@@ -1,8 +1,7 @@
 package repro.influence
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, udf}
 
 /** A viral piece: a probability distribution over the hidden topics Z.
   *
@@ -52,24 +51,6 @@ object Piece {
   */
 object TopicGraph {
 
-  /** Canonical edge row type for driver-side (exact/simulated) evaluation. */
-  final case class TopicEdge(src: Long, dst: Long, probs: Array[Double])
-
-  val schema: StructType = StructType(Seq(
-    StructField("src", LongType, nullable = false),
-    StructField("dst", LongType, nullable = false),
-    StructField("probs", ArrayType(DoubleType, containsNull = false), nullable = false),
-  ))
-
-  /** Build the edge DataFrame from in-memory edges (tests, examples). */
-  def fromEdges(spark: SparkSession, edges: Seq[TopicEdge]): DataFrame = {
-    val arity = edges.headOption.map(_.probs.length)
-    require(edges.forall(e => arity.contains(e.probs.length)),
-      "all edges must carry the same number of topics")
-    import spark.implicits._
-    edges.map(e => (e.src, e.dst, e.probs.toSeq)).toDF("src", "dst", "probs")
-  }
-
   /** Homogeneous influence graph of one piece: `(src, dst, p)` with
     * `p = piece · probs`, zero-probability edges dropped (Figure 1 b/c).
     */
@@ -79,21 +60,4 @@ object TopicGraph {
       .select(col("src"), col("dst"), dot(col("probs")).as("p"))
       .where(col("p") > 0)
   }
-
-  /** Union of all per-piece influence graphs, tagged by piece index:
-    * `(piece, src, dst, p)`. This is the one table the MRR sampler joins
-    * against every frontier round.
-    */
-  def influenceGraphs(edges: DataFrame, pieces: Seq[Piece]): DataFrame = {
-    require(pieces.nonEmpty, "need at least one piece")
-    pieces.zipWithIndex
-      .map { case (t, j) => influenceGraph(edges, t).select(lit(j).as("piece"), col("src"), col("dst"), col("p")) }
-      .reduce(_ unionByName _)
-  }
-
-  /** Collect edges to the driver (exact oracle / forward simulator inputs). */
-  def collectEdges(edges: DataFrame): Seq[TopicEdge] =
-    edges.select("src", "dst", "probs").collect().toSeq.map { r =>
-      TopicEdge(r.getLong(0), r.getLong(1), r.getSeq[Double](2).toArray)
-    }
 }

@@ -3,17 +3,11 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Adoption-utility estimators over sampled MRR sets.
-  *
-  * `inMemory` delegates to [[CoverageIndex]]; `dataFrame` computes the same
-  * estimate purely in Spark SQL so the arithmetic can be cross-checked against
-  * DuckDB with `Oracle.assertEquivalent` (tests do exactly that).
+/** Adoption-utility estimate over sampled MRR rows, purely in Spark SQL: the
+  * same Eqn 6 arithmetic as [[CoverageIndex.auOfPlan]], written so it can be
+  * cross-checked against DuckDB with `Oracle.assertEquivalent`.
   */
 object AuEvaluator {
-
-  /** AU of a plan via the in-memory index (Eqn 6, with Eqn 1's zero case). */
-  def inMemory(idx: CoverageIndex, plan: Plan, params: LogisticParams): Double =
-    idx.auOfPlan(plan, params)
 
   /** Per-sample coverage counts as a DataFrame: join MRR membership
     * `(sample, piece, v)` against the plan's `(piece, v)` assignments, count

@@ -3,9 +3,9 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.graphgen.{Datasets, SocialGraphGen}
-import repro.influence.{MrrSampler, Piece, TopicGraph}
+import repro.influence.{MrrSampler, Piece}
 import repro.influence.MrrSampler.MrrConfig
-import repro.testkit.ExampleGraphs
+import repro.testkit.{ExampleGraphs, TopicEdge}
 
 class AuEvaluatorSpec extends SparkSpec {
 
@@ -28,7 +28,7 @@ class AuEvaluatorSpec extends SparkSpec {
   test("in-memory and DataFrame estimators agree on random plans") {
     for (n <- Seq(1, 3, 6, 10)) {
       val plan = somePlan(n)
-      val a = AuEvaluator.inMemory(idx, plan, params)
+      val a = idx.auOfPlan(plan, params)
       val b = AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta)
       assert(math.abs(a - b) < 1e-9, s"n=$n: inMemory=$a dataFrame=$b")
     }
@@ -36,7 +36,7 @@ class AuEvaluatorSpec extends SparkSpec {
 
   test("empty plan evaluates to zero on both paths") {
     val plan = Plan.empty(pieces.length)
-    assert(AuEvaluator.inMemory(idx, plan, params) == 0.0)
+    assert(idx.auOfPlan(plan, params) == 0.0)
     assert(AuEvaluator.evaluate(spark, mrr, plan, params, Datasets.mini.nVertices, theta) == 0.0)
   }
 
@@ -79,12 +79,12 @@ class AuEvaluatorSpec extends SparkSpec {
   test("AU estimate is monotone in the plan") {
     val small = somePlan(2)
     val big = somePlan(8)
-    assert(AuEvaluator.inMemory(idx, small, params) <= AuEvaluator.inMemory(idx, big, params))
+    assert(idx.auOfPlan(small, params) <= idx.auOfPlan(big, params))
   }
 
   test("the estimator converges to the exact sigma on Example 1") {
     // Deterministic graph: the only sampling noise is the root draw.
-    val exampleDf = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+    val exampleDf = TopicEdge.fromEdges(spark, ExampleGraphs.edges)
     val bigTheta = 4000
     val exMrr = MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces,
       MrrConfig(bigTheta, seed = 23L))

@@ -116,7 +116,7 @@ class BaselinesSpec extends AnyFunSuite {
         nVertices = 100, density = 0.3, seed = 1300L + seed)
       val im = Baselines.runIM(mixture, campaign, params, k = 4)
       val tim = Baselines.runTIM(campaign, params, k = 4)
-      val bab = BranchAndBound.runGreedy(campaign, params, BabConfig(k = 4, gapTol = 0.0))
+      val bab = BranchAndBound.runGreedy(campaign, params, BabConfig(k = 4, gapTol = 0.0, maxBoundCalls = 20000))
       assert(bab.sigma >= tim.sigma - 1e-9, s"seed=$seed")
       assert(bab.sigma >= im.sigma - 1e-9, s"seed=$seed")
     }

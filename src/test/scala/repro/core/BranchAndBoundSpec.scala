@@ -23,7 +23,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to 12) {
       val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 4,
         nVertices = 40, density = 0.35, seed = 700L + seed)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0))
+      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0, maxBoundCalls = 20000))
       val (_, opt) = BruteForce.bestByAu(idx, params, 3)
       assert(res.sigma >= guarantee * opt - 1e-9,
         s"seed=$seed: bab=${res.sigma} opt=$opt")
@@ -34,7 +34,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to 12; eps <- Seq(0.2, 0.5)) {
       val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 4,
         nVertices = 40, density = 0.35, seed = 800L + seed)
-      val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 3, gapTol = 0.0), eps)
+      val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 3, gapTol = 0.0, maxBoundCalls = 20000), eps)
       val (_, opt) = BruteForce.bestByAu(idx, params, 3)
       assert(res.sigma >= (guarantee - eps) * opt - 1e-9,
         s"seed=$seed eps=$eps: bab-p=${res.sigma} opt=$opt")
@@ -47,7 +47,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
     for (seed <- 1 to trials) {
       val idx = SyntheticIndex.random(theta = 25, ell = 2, nPromoters = 4,
         nVertices = 50, density = 0.4, seed = 900L + seed)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0, maxBoundCalls = 20000))
       val (_, opt) = BruteForce.bestByAu(idx, params, 2)
       if (math.abs(res.sigma - opt) < 1e-9) hits += 1
     }
@@ -62,7 +62,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
       val order = BranchAndBound.defaultOrder(idx)
       val rootGreedy = new GreedyBounder(idx, env, order, params)
         .computeBound(Array.empty, 0, 4)
-      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0))
+      val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0, maxBoundCalls = 20000))
       assert(res.sigma >= rootGreedy.sigma - 1e-12)
     }
   }
@@ -70,7 +70,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("result invariants: budget, bound, gap, counters") {
     val idx = SyntheticIndex.random(theta = 40, ell = 3, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 31L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 5, gapTol = 0.01))
+    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 5, gapTol = 0.01, maxBoundCalls = 20000))
     assert(res.candidates.length <= 5)
     assert(res.plan.size == res.candidates.length)
     assert(res.sigma <= res.upperBound + 1e-9)
@@ -92,8 +92,8 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("a loose gap tolerance terminates no later than a tight one") {
     val idx = SyntheticIndex.random(theta = 60, ell = 2, nPromoters = 8,
       nVertices = 120, density = 0.3, seed = 33L)
-    val loose = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.2))
-    val tight = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0))
+    val loose = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.2, maxBoundCalls = 20000))
+    val tight = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, gapTol = 0.0, maxBoundCalls = 20000))
     assert(loose.boundCalls <= tight.boundCalls)
     assert(tight.sigma >= loose.sigma - 1e-9)
   }
@@ -101,8 +101,8 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("BAB is deterministic") {
     val idx = SyntheticIndex.random(theta = 40, ell = 2, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 34L)
-    val a = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4))
-    val b = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4))
+    val a = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, maxBoundCalls = 20000))
+    val b = BranchAndBound.runGreedy(idx, params, BabConfig(k = 4, maxBoundCalls = 20000))
     assert(a.candidates.toSeq == b.candidates.toSeq)
     assert(a.sigma == b.sigma)
   }
@@ -110,7 +110,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("single-piece campaigns reduce to IM-style seed selection") {
     val idx = SyntheticIndex.random(theta = 40, ell = 1, nPromoters = 6,
       nVertices = 80, density = 0.3, seed = 35L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0))
+    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 3, gapTol = 0.0, maxBoundCalls = 20000))
     val (_, opt) = BruteForce.bestByAu(idx, params, 3)
     assert(res.sigma >= guarantee * opt - 1e-9)
     assert(res.plan.ell == 1)
@@ -119,7 +119,7 @@ class BranchAndBoundSpec extends AnyFunSuite {
   test("budget larger than the candidate space selects everything useful") {
     val idx = SyntheticIndex.random(theta = 20, ell = 2, nPromoters = 2,
       nVertices = 40, density = 0.4, seed = 36L)
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 50, gapTol = 0.0))
+    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 50, gapTol = 0.0, maxBoundCalls = 20000))
     val all = idx.au((0 until idx.candidateCount).toSeq, params)
     assert(math.abs(res.sigma - all) < 1e-9)
   }

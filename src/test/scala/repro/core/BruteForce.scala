@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.influence.Piece
-import repro.influence.TopicGraph.TopicEdge
+import repro.testkit.TopicEdge
 
 /** Exhaustive OIPA solvers for tiny instances — the reference optimum that
   * approximation-ratio tests compare against. Exponential; test-scale only.

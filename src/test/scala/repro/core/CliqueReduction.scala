@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.influence.Piece
-import repro.influence.TopicGraph.TopicEdge
+import repro.testkit.TopicEdge
 
 /** The §IV gap-preserving reduction from Maximum Clique to OIPA.
   *

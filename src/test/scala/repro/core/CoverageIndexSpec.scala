@@ -120,6 +120,14 @@ class CoverageIndexSpec extends AnyFunSuite {
     assert(cands.getMessage.contains("candidate id"))
   }
 
+  test("an unsorted or duplicated promoter pool is rejected") {
+    val lists = Array.fill(4)(Array.empty[Int])
+    for (pool <- Seq(Array(20L, 10L), Array(10L, 10L))) {
+      val e = intercept[IllegalArgumentException](new CoverageIndex(4, 2, 8L, pool, lists))
+      assert(e.getMessage.contains("strictly ascending"), e.getMessage)
+    }
+  }
+
   test("merge counting-sorts fragments into the same lists as the hand index") {
     // Two partitions: samples {0, 1} and {2, 3}; candidate = promoterIdx * 2 + piece.
     val merged = CoverageIndex.merge(Array(

@@ -1,7 +1,7 @@
 package repro.core
 
-import repro.influence.{Piece, TopicGraph}
-import repro.influence.TopicGraph.TopicEdge
+import repro.influence.Piece
+import repro.testkit.TopicEdge
 import scala.collection.mutable
 
 /** Exact adoption utility on small instances, by live-edge world enumeration.
@@ -105,13 +105,4 @@ object ExactAu {
       pv
     }.sum
   }
-
-  /** Exact σ over a Spark edge DataFrame (collects — small graphs only). */
-  def sigmaOf(
-      edgesDf: org.apache.spark.sql.DataFrame,
-      vertices: Seq[Long],
-      pieces: Seq[Piece],
-      plan: Plan,
-      params: LogisticParams): Double =
-    sigma(TopicGraph.collectEdges(edgesDf), vertices, pieces, plan, params)
 }

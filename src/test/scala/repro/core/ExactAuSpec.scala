@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.influence.Piece
-import repro.influence.TopicGraph.TopicEdge
+import repro.testkit.TopicEdge
 import repro.testkit.ExampleGraphs
 
 class ExactAuSpec extends AnyFunSuite {

@@ -3,9 +3,9 @@ package repro.exp
 import repro.SparkSpec
 import repro.core.{CoverageIndex, LogisticParams}
 import repro.graphgen.Datasets
-import repro.influence.{MrrSampler, Piece, TopicGraph}
+import repro.influence.{MrrSampler, Piece}
 import repro.influence.MrrSampler.MrrConfig
-import repro.testkit.{ExampleGraphs, IndexContent}
+import repro.testkit.{ExampleGraphs, IndexContent, TopicEdge}
 
 class ExperimentRunnerSpec extends SparkSpec {
 
@@ -68,7 +68,7 @@ class ExperimentRunnerSpec extends SparkSpec {
   }
 
   test("sampleIndices equals the broadcast sampler's indices on Example 1") {
-    val edges = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+    val edges = TopicEdge.fromEdges(spark, ExampleGraphs.edges)
     val promoters = Array(4L, 0L, 2L, 0L) // unsorted, repeated: the pool is normalised
     val (idx, mix, ms) = ExperimentRunner.sampleIndices(spark, edges, 5, ExampleGraphs.pieces, 400, promoters, 31L)
     val (refIdx, refMix) = reference(edges, 5, ExampleGraphs.pieces, 400, promoters, 31L)

@@ -3,7 +3,7 @@ package repro.influence
 import repro.SparkSpec
 import repro.core._
 import repro.influence.MrrSampler.MrrConfig
-import repro.testkit.ExampleGraphs
+import repro.testkit.{ExampleGraphs, TopicEdge}
 
 /** End-to-end reproduction of the paper's running example (Figure 1,
   * Examples 1–3): the full pipeline — graph, MRR sampling, coverage index,
@@ -13,7 +13,7 @@ import repro.testkit.ExampleGraphs
 class ExampleOneSpec extends SparkSpec {
 
   private val params = LogisticParams(3.0, 1.0)
-  private lazy val edgesDf = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+  private lazy val edgesDf = TopicEdge.fromEdges(spark, ExampleGraphs.edges)
   private val theta = 4000
   private lazy val mrr = MrrSampler
     .sampleBroadcast(spark, edgesDf, 5, ExampleGraphs.pieces, MrrConfig(theta, seed = 31L))
@@ -42,13 +42,13 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("BAB recovers the optimal plan {{a}, {e}} with budget 2") {
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0, maxBoundCalls = 20000))
     assert(res.plan == Plan(Vector(Set(ExampleGraphs.A), Set(ExampleGraphs.E))), res.plan.toString)
     assert(math.abs(res.sigma - 1.0452) < 0.06, s"sigma=${res.sigma}")
   }
 
   test("BAB-P recovers the same plan") {
-    val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 2, gapTol = 0.0), eps = 0.5)
+    val res = BranchAndBound.runProgressive(idx, params, BabConfig(k = 2, gapTol = 0.0, maxBoundCalls = 20000), eps = 0.5)
     assert(res.plan == Plan(Vector(Set(ExampleGraphs.A), Set(ExampleGraphs.E))), res.plan.toString)
   }
 
@@ -62,7 +62,7 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("baselines are strictly worse than BAB on the example") {
-    val bab = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0))
+    val bab = BranchAndBound.runGreedy(idx, params, BabConfig(k = 2, gapTol = 0.0, maxBoundCalls = 20000))
     val tim = Baselines.runTIM(idx, params, k = 2)
     assert(tim.sigma < bab.sigma)
     // TIM's best single-piece plan: two seeds on one piece reach at most all
@@ -71,7 +71,7 @@ class ExampleOneSpec extends SparkSpec {
   }
 
   test("single-assignment budget picks one central seed") {
-    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 1, gapTol = 0.0))
+    val res = BranchAndBound.runGreedy(idx, params, BabConfig(k = 1, gapTol = 0.0, maxBoundCalls = 20000))
     assert(res.candidates.length == 1)
     // Best single assignment: a on t1 (covers 4 users) or e on t2 (covers 4).
     val plan = res.plan

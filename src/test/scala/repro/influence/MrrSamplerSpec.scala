@@ -3,7 +3,7 @@ package repro.influence
 import repro.SparkSpec
 import repro.graphgen.{Datasets, SocialGraphGen}
 import repro.influence.MrrSampler.MrrConfig
-import repro.testkit.ExampleGraphs
+import repro.testkit.{ExampleGraphs, TopicEdge}
 
 class MrrSamplerSpec extends SparkSpec {
 
@@ -11,7 +11,7 @@ class MrrSamplerSpec extends SparkSpec {
     df.select("sample", "piece", "v").collect()
       .map(r => (r.getInt(0), r.getInt(1), r.getLong(2))).toSet
 
-  private lazy val exampleDf = TopicGraph.fromEdges(spark, ExampleGraphs.edges)
+  private lazy val exampleDf = TopicEdge.fromEdges(spark, ExampleGraphs.edges)
 
   test("roots are uniform over V and deterministic") {
     val n = 1000L
@@ -43,7 +43,7 @@ class MrrSamplerSpec extends SparkSpec {
 
   test("iterative sampler reproduces exact deterministic RR sets on Example 1") {
     val cfg = MrrConfig(theta = 25, seed = 5L)
-    val out = rows(MrrSampler.sampleIterative(spark, exampleDf, 5, ExampleGraphs.pieces, cfg))
+    val out = rows(IterativeSampler.sample(spark, exampleDf, 5, ExampleGraphs.pieces, cfg))
     (0 until cfg.theta).foreach { s =>
       val root = MrrSampler.rootOf(s, 5, cfg.seed)
       (0 until 2).foreach { j =>
@@ -57,7 +57,7 @@ class MrrSamplerSpec extends SparkSpec {
     val edges = SocialGraphGen.generate(spark, Datasets.mini)
     val pieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(2, 5))
     val cfg = MrrConfig(theta = 150, seed = 9L)
-    val a = rows(MrrSampler.sampleIterative(spark, edges, Datasets.mini.nVertices, pieces, cfg))
+    val a = rows(IterativeSampler.sample(spark, edges, Datasets.mini.nVertices, pieces, cfg))
     val b = rows(MrrSampler.sampleBroadcast(spark, edges, Datasets.mini.nVertices, pieces, cfg))
     assert(a == b, s"iterative=${a.size} broadcast=${b.size} symmdiff=${(a diff b) ++ (b diff a)}")
   }
@@ -86,7 +86,7 @@ class MrrSamplerSpec extends SparkSpec {
 
   test("RR membership grows with edge probabilities") {
     // Same structure, scaled probabilities: supersets in expectation.
-    val weak = TopicGraph.fromEdges(spark,
+    val weak = TopicEdge.fromEdges(spark,
       ExampleGraphs.edges.map(e => e.copy(probs = e.probs.map(_ * 0.2))))
     val cfg = MrrConfig(theta = 300, seed = 15L)
     val strong = rows(MrrSampler.sampleBroadcast(spark, exampleDf, 5, ExampleGraphs.pieces, cfg))
@@ -108,20 +108,21 @@ class MrrSamplerSpec extends SparkSpec {
 
   test("config validation") {
     intercept[IllegalArgumentException](MrrConfig(theta = 0))
-    intercept[IllegalArgumentException](MrrConfig(theta = 10, maxIters = 0))
+    intercept[IllegalArgumentException](
+      IterativeSampler.sample(spark, exampleDf, 5, ExampleGraphs.pieces, MrrConfig(theta = 10), maxIters = 0))
   }
 
   test("iterative sampler throws rather than truncate at maxIters") {
     // Directed path 0 → 1 → … → 9 with p = 1: the RR set of root 9 is the
     // whole path and needs 10 rounds (the last one finds nothing).
-    val path = TopicGraph.fromEdges(spark,
-      (0L until 9L).map(v => TopicGraph.TopicEdge(v, v + 1, Array(1.0))))
+    val path = TopicEdge.fromEdges(spark,
+      (0L until 9L).map(v => TopicEdge(v, v + 1, Array(1.0))))
     val pieces = Seq(Piece(Array(1.0)))
     val e = intercept[IllegalStateException](
-      MrrSampler.sampleIterative(spark, path, 10, pieces, MrrConfig(theta = 30, seed = 3L, maxIters = 4)))
+      IterativeSampler.sample(spark, path, 10, pieces, MrrConfig(theta = 30, seed = 3L), maxIters = 4))
     assert(e.getMessage.contains("still on the frontier"), e.getMessage)
-    val cfg = MrrConfig(theta = 30, seed = 3L, maxIters = 12)
-    val full = rows(MrrSampler.sampleIterative(spark, path, 10, pieces, cfg))
+    val cfg = MrrConfig(theta = 30, seed = 3L)
+    val full = rows(IterativeSampler.sample(spark, path, 10, pieces, cfg, maxIters = 12))
     assert(full == (0 until cfg.theta).flatMap { s =>
       (0L to MrrSampler.rootOf(s, 10, cfg.seed)).map(v => (s, 0, v))
     }.toSet)

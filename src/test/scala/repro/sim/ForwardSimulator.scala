@@ -3,7 +3,7 @@ package repro.sim
 import org.apache.spark.sql.SparkSession
 import repro.core.{LogisticParams, Plan}
 import repro.influence.Piece
-import repro.influence.TopicGraph.TopicEdge
+import repro.testkit.TopicEdge
 import repro.util.HashRng
 
 /** Monte-Carlo *forward* Independent-Cascade simulation of a full assignment

@@ -3,10 +3,9 @@ package repro.sim
 import repro.SparkSpec
 import repro.core.{CoverageIndex, ExactAu, LogisticParams, Plan}
 import repro.graphgen.{Datasets, SocialGraphGen}
-import repro.influence.{MrrSampler, Piece, TopicGraph}
+import repro.influence.{MrrSampler, Piece}
 import repro.influence.MrrSampler.MrrConfig
-import repro.influence.TopicGraph.TopicEdge
-import repro.testkit.ExampleGraphs
+import repro.testkit.{ExampleGraphs, TopicEdge}
 
 class ForwardSimulatorSpec extends SparkSpec {
 
@@ -54,7 +53,7 @@ class ForwardSimulatorSpec extends SparkSpec {
     // Two estimators that share no code path must agree on the same sigma.
     val spec = Datasets.mini
     val edgesDf = SocialGraphGen.generate(spark, spec).cache()
-    val edges = TopicGraph.collectEdges(edgesDf)
+    val edges = TopicEdge.collectEdges(edgesDf)
     val pieces = Seq(Piece.oneHot(0, 5), Piece.oneHot(3, 5))
     val promoters = SocialGraphGen.promoters(spec)
     val theta = 6000

@@ -2,7 +2,6 @@ package repro.testkit
 
 import repro.core.CoverageIndex
 import repro.influence.Piece
-import repro.influence.TopicGraph.TopicEdge
 import repro.util.HashRng
 
 /** The paper's running example (Figure 1): five users a..e (ids 0..4), two
